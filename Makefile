@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build vet lint vet-fixtures vet-allows test race bench-kernel bench-figures benchfigures bench-parallel bench-service bench-guard fault-smoke trace-smoke chaos-smoke service-smoke
+.PHONY: build vet lint vet-fixtures vet-allows test race bench-kernel bench-figures benchfigures bench-parallel bench-service bench-guard fault-smoke trace-smoke chaos-smoke service-smoke shard-stress
 
 build:
 	$(GO) build ./...
@@ -113,3 +113,12 @@ trace-smoke:
 # /statsz accounting, then SIGTERM and require a clean drain.
 service-smoke:
 	$(GO) run ./scripts/servicesmoke
+
+# Sharded-mode stress: repeat the two sharded equivalence tests
+# (TestExecModeSortContentionEquivalence, TestExecModeShardedTaskEquivalence)
+# N times, each under a per-run timeout, and print pass/diverge/hang
+# counts; exits nonzero on any non-passing run. SHARD_STRESS_N=500 for
+# a longer sweep.
+SHARD_STRESS_N ?= 200
+shard-stress:
+	$(GO) run ./scripts/shardstress -n $(SHARD_STRESS_N)

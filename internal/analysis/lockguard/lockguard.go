@@ -273,6 +273,49 @@ type checker struct {
 	pass    *analysis.Pass
 	sup     *allow.Suppressor
 	guarded map[types.Object]*guardSpec
+	// targets is the stack of enclosing break/continue targets (loops,
+	// switches, selects), innermost last; label is the label of the
+	// LabeledStmt whose statement is about to push a target.
+	targets []*branchTarget
+	label   string
+}
+
+// branchTarget collects the lock states at every break (and, for loops,
+// continue) that leaves a statement early. They join the statement's
+// fall-through state: an unlabeled break ends its case or loop, not the
+// function.
+type branchTarget struct {
+	label  string
+	loop   bool
+	states []map[string]*heldLock
+}
+
+func (c *checker) pushTarget(loop bool) *branchTarget {
+	t := &branchTarget{label: c.label, loop: loop}
+	c.label = ""
+	c.targets = append(c.targets, t)
+	return t
+}
+
+func (c *checker) popTarget() { c.targets = c.targets[:len(c.targets)-1] }
+
+// branchTo records held at the target a break or continue jumps to. A
+// goto, or a branch with no matching target, records nothing.
+func (c *checker) branchTo(s *ast.BranchStmt, held map[string]*heldLock) {
+	if s.Tok != token.BREAK && s.Tok != token.CONTINUE {
+		return
+	}
+	for i := len(c.targets) - 1; i >= 0; i-- {
+		t := c.targets[i]
+		if s.Label != nil && t.label != s.Label.Name {
+			continue
+		}
+		if s.Label == nil && s.Tok == token.CONTINUE && !t.loop {
+			continue
+		}
+		t.states = append(t.states, cloneHeld(held))
+		return
+	}
 }
 
 func cloneHeld(held map[string]*heldLock) map[string]*heldLock {
@@ -349,14 +392,17 @@ func (c *checker) walkStmt(s ast.Stmt, held map[string]*heldLock) bool {
 		}
 		return true
 	case *ast.BranchStmt:
-		// break/continue/goto leave this path; treat as terminating for
-		// merge purposes (conservative for lock-state propagation).
+		// break/continue/goto leave this path. A break or continue
+		// carries its lock state to the statement it targets, whose
+		// fall-through state absorbs it.
+		c.branchTo(s, held)
 		return true
 	case *ast.BlockStmt:
 		return c.walkStmts(s.List, held)
 	case *ast.IfStmt:
 		return c.walkIf(s, held)
 	case *ast.ForStmt:
+		t := c.pushTarget(true)
 		c.walkStmt(s.Init, held)
 		if s.Cond != nil {
 			c.checkExpr(s.Cond, held, false)
@@ -366,15 +412,18 @@ func (c *checker) walkStmt(s ast.Stmt, held map[string]*heldLock) bool {
 		if s.Post != nil {
 			c.walkStmt(s.Post, body)
 		}
-		// The body may run zero times, so only locks surviving both the
-		// pre-state and a full iteration are held afterwards.
-		merge(held, intersectHeld(held, body))
+		c.popTarget()
+		// The body may run zero times, so only locks surviving the
+		// pre-state, a full iteration and every break are held afterwards.
+		merge(held, intersectAll(append(t.states, held, body)))
 		return false
 	case *ast.RangeStmt:
+		t := c.pushTarget(true)
 		c.checkExpr(s.X, held, false)
 		body := cloneHeld(held)
 		c.walkStmts(s.Body.List, body)
-		merge(held, intersectHeld(held, body))
+		c.popTarget()
+		merge(held, intersectAll(append(t.states, held, body)))
 		return false
 	case *ast.SwitchStmt:
 		c.walkStmt(s.Init, held)
@@ -396,6 +445,10 @@ func (c *checker) walkStmt(s ast.Stmt, held map[string]*heldLock) bool {
 			c.walkStmts(lit.Body.List, map[string]*heldLock{})
 		}
 	case *ast.LabeledStmt:
+		switch s.Stmt.(type) {
+		case *ast.ForStmt, *ast.RangeStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
+			c.label = s.Label.Name
+		}
 		return c.walkStmt(s.Stmt, held)
 	case *ast.DeclStmt:
 		if gd, ok := s.Decl.(*ast.GenDecl); ok {
@@ -508,8 +561,10 @@ func hasDefaultCase(body *ast.BlockStmt) bool {
 
 // walkCases analyzes switch/select bodies: each case starts from the
 // pre-state; the post-state is the intersection of every non-terminating
-// case end (and the pre-state, when no default guarantees entry).
+// case end, every break out of a case (and the pre-state, when no
+// default guarantees entry).
 func (c *checker) walkCases(body *ast.BlockStmt, held map[string]*heldLock, exhaustive bool) bool {
+	t := c.pushTarget(false)
 	post := []map[string]*heldLock{}
 	if !exhaustive {
 		post = append(post, cloneHeld(held))
@@ -540,17 +595,24 @@ func (c *checker) walkCases(body *ast.BlockStmt, held map[string]*heldLock, exha
 			allTerm = false
 		}
 	}
-	if exhaustive && allTerm {
+	c.popTarget()
+	post = append(post, t.states...)
+	if exhaustive && allTerm && len(t.states) == 0 {
 		return true
 	}
 	if len(post) > 0 {
-		acc := post[0]
-		for _, p := range post[1:] {
-			acc = intersectHeld(acc, p)
-		}
-		replace(held, acc)
+		replace(held, intersectAll(post))
 	}
 	return false
+}
+
+// intersectAll intersects a non-empty list of lock states.
+func intersectAll(states []map[string]*heldLock) map[string]*heldLock {
+	acc := states[0]
+	for _, h := range states[1:] {
+		acc = intersectHeld(acc, h)
+	}
+	return acc
 }
 
 type lockOp int

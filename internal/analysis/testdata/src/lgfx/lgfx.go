@@ -160,3 +160,63 @@ func newCounter() *counter {
 func (c *counter) allowed() int {
 	return c.n //howsim:allow lockguard -- snapshot read; staleness is acceptable here
 }
+
+// break and continue end their case or loop iteration, not the
+// function: accesses after a switch whose cases all break, or after a
+// loop left by break or continue, are still checked.
+func (c *counter) badAfterBreakingSwitch(b bool) {
+	switch {
+	case b:
+		break
+	default:
+		break
+	}
+	c.n++ // want `c\.n written without holding mu`
+}
+
+func (c *counter) badAfterBrokenLoop(xs []int) {
+	c.mu.Lock()
+	for _, x := range xs {
+		if x < 0 {
+			c.mu.Unlock()
+			break
+		}
+	}
+	c.n++ // want `c\.n written without holding mu`
+}
+
+func (c *counter) badAfterContinuedLoop(xs []int) {
+	c.mu.Lock()
+	for _, x := range xs {
+		if x < 0 {
+			c.mu.Unlock()
+			continue
+		}
+	}
+	c.n++ // want `c\.n written without holding mu`
+}
+
+func (c *counter) okBreakUnderLock(b bool) {
+	c.mu.Lock()
+	switch {
+	case b:
+		break
+	default:
+		c.n = 1 // ok
+	}
+	c.n++ // ok: every case leaves with the lock held
+	c.mu.Unlock()
+}
+
+func (c *counter) badLabeledBreak(xs []int) {
+	c.mu.Lock()
+outer:
+	for range xs {
+		select {
+		default:
+			c.mu.Unlock()
+			break outer
+		}
+	}
+	c.n++ // want `c\.n written without holding mu`
+}

@@ -647,14 +647,13 @@ func (g *ShardGroup) ownCapLocked(sh *Shard, at Time) (sched Time, anc lineage, 
 	return
 }
 
-// clearFor reports whether pending request rq may be injected even
-// though the earliest input time does not clear rq.at: every shard
+// clearForLocked reports whether pending request rq may be injected
+// even though the earliest input time does not clear rq.at: every shard
 // whose horizon fails to clear it is parked with its earliest remaining
 // work keyed strictly after the request, so nothing any shard can still
-// send at that instant sorts before rq in single-kernel order.
-func (g *ShardGroup) clearFor(rq *xcall) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
+// send at that instant sorts before rq in single-kernel order. Callers
+// hold g.mu.
+func (g *ShardGroup) clearForLocked(rq *xcall) bool {
 	for _, sh := range g.shards {
 		h := Time(sh.horizon.Load())
 		if h > rq.at {
@@ -666,6 +665,14 @@ func (g *ShardGroup) clearFor(rq *xcall) bool {
 		}
 	}
 	return true
+}
+
+// blockedLocked reports whether the hub's next obligation at target
+// (the earliest of its own next event and pending request rq) must wait
+// for the leaves: the earliest input time eit fails to clear it, and
+// rq, if due then, is not clear for injection either. Callers hold g.mu.
+func (g *ShardGroup) blockedLocked(eit, target Time, rq *xcall) bool {
+	return eit <= target && !(rq != nil && rq.at == target && g.clearForLocked(rq))
 }
 
 // eit returns the hub's earliest input time: the minimum per-edge
@@ -705,11 +712,13 @@ func (g *ShardGroup) Run() Time {
 	}
 
 	for {
+		// One consistent snapshot: a leaf ending its slice posts its
+		// requests and moves its horizon in one critical section, so
+		// reading the inbox and the horizons under the same lock can never
+		// see the widened horizon without the earlier request behind it.
 		l, okL := g.hub.NextEventTime()
 		g.mu.Lock()
 		rq := g.inbox.peek()
-		g.mu.Unlock()
-
 		target := maxTime
 		if okL {
 			target = l
@@ -718,7 +727,10 @@ func (g *ShardGroup) Run() Time {
 			target = rq.at
 		}
 		eit := g.eit()
-		if eit <= target && !(rq != nil && rq.at == target && g.clearFor(rq)) {
+		blocked := g.blockedLocked(eit, target, rq)
+		posted := g.inbox.len()
+		g.mu.Unlock()
+		if blocked {
 			// An edge horizon blocks the next obligation. Drive parked
 			// shards' local events forward inside their conservative
 			// windows; if nothing is drivable, wait for the free-running
@@ -732,7 +744,7 @@ func (g *ShardGroup) Run() Time {
 				}
 				continue
 			}
-			g.waitHorizon(target)
+			g.waitHorizon(target, rq, posted)
 			continue
 		}
 		if rq == nil || (okL && l < rq.at) {
@@ -797,11 +809,20 @@ func (g *ShardGroup) Close() {
 }
 
 // driveLimitLocked returns the conservative drive window for parked
-// shard i under the hub's next obligation: the minimum of hubBound and
-// every other shard's published horizon. Events of shard i at or below
-// this limit provably cannot be affected by anything still in flight.
+// shard i under the hub's next obligation: the minimum of hubBound,
+// every pending request and every other shard's published horizon.
+// Events of shard i at or below this limit provably cannot be affected
+// by anything still in flight. The pending requests count even though
+// hubBound already covers the ones the caller saw: a leaf that ended its
+// slice since then has posted a request the window must not pass — its
+// response may resume a caller at the request's own time.
 func (g *ShardGroup) driveLimitLocked(i int, hubBound Time) Time {
 	lim := hubBound
+	for _, c := range g.inbox.q {
+		if c.at < lim {
+			lim = c.at
+		}
+	}
 	for j, sh := range g.shards {
 		if j == i {
 			continue
@@ -1019,14 +1040,17 @@ func (g *ShardGroup) respond(sh *Shard, caller *Proc) *xcall {
 	}
 }
 
-// waitHorizon blocks until every shard's horizon clears target, a new
-// request arrives, or a parked shard becomes drivable — each of which
-// changes what the hub should do next.
-func (g *ShardGroup) waitHorizon(target Time) {
+// waitHorizon blocks while the hub's obligation at target (with rq the
+// least pending request) stays blocked: it returns once the horizons
+// clear target or clear rq for injection, a request arrives beyond the
+// posted count the hub decided on, or a parked shard becomes drivable —
+// each of which changes what the hub should do next. The predicate is
+// the one Run decided on, re-evaluated under the lock, so a change a
+// leaf makes between that decision and this wait is never missed.
+func (g *ShardGroup) waitHorizon(target Time, rq *xcall, posted int) {
 	g.mu.Lock()
 	g.want.Store(int64(target))
-	n0 := g.inbox.len()
-	for g.eit() <= target && g.inbox.len() == n0 && !g.drivableLocked(target) {
+	for g.inbox.len() == posted && g.blockedLocked(g.eit(), target, rq) && !g.drivableLocked(target) {
 		g.cond.Wait()
 	}
 	g.want.Store(horizonInfinity)

@@ -3,23 +3,14 @@ package sim
 import (
 	"runtime"
 	"testing"
-	"time"
 )
 
-// drainGoroutines polls until the goroutine count settles back to at
-// most base (worker goroutines exit asynchronously after Close).
+// drainGoroutines checks the goroutine count is back to at most base:
+// worker coroutines exit before Close and Shutdown return.
 func drainGoroutines(t *testing.T, base int) {
 	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		runtime.Gosched()
-		if runtime.NumGoroutine() <= base {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d live, want <= %d", runtime.NumGoroutine(), base)
-		}
-		time.Sleep(time.Millisecond)
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("goroutines leaked: %d live, want <= %d", n, base)
 	}
 }
 

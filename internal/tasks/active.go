@@ -23,7 +23,7 @@ func runActive(cfg arch.Config, task workload.TaskID, ds workload.Dataset, res *
 	}
 	k := sim.NewKernel()
 	k.SetExecMode(rc.mode)
-	defer k.Close()
+	defer teardown(k)
 	k.SetProbe(sink)
 	s := cfg.BuildActive(k)
 	s.InstallFaults(plan)
@@ -54,7 +54,6 @@ func runActive(cfg arch.Config, task workload.TaskID, ds workload.Dataset, res *
 	}
 	res.Elapsed = rc.run(k)
 	if rc.cancelled {
-		rc.abort(k)
 		return
 	}
 	completed := done.Fired()

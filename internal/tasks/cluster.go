@@ -53,7 +53,7 @@ func runCluster(cfg arch.Config, task workload.TaskID, ds workload.Dataset, res 
 	plan *fault.Plan, sink *probe.Sink, rc *runCtl) {
 	k := sim.NewKernel()
 	k.SetExecMode(rc.mode)
-	defer k.Close()
+	defer teardown(k)
 	k.SetProbe(sink)
 	m := cfg.BuildCluster(k)
 	m.InstallFaults(plan)
@@ -85,7 +85,6 @@ func runCluster(cfg arch.Config, task workload.TaskID, ds workload.Dataset, res 
 	}
 	res.Elapsed = rc.run(k)
 	if rc.cancelled {
-		rc.abort(k)
 		return
 	}
 	completed := done.Fired()

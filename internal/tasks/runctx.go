@@ -58,11 +58,14 @@ func (rc *runCtl) run(k *sim.Kernel) sim.Time {
 	}
 }
 
-// abort tears down an abandoned kernel: every parked process is unwound
-// and its worker goroutine released, so a cancelled request frees its
-// simulation resources immediately. Probe recording is suppressed for
-// the teardown so unwinding defers cannot emit into the caller's sink.
-func (rc *runCtl) abort(k *sim.Kernel) {
+// teardown releases a kernel once its run is over — completed, faulted
+// or cancelled: every parked process is unwound and its worker
+// coroutine released, so no run leaves parked processes pinning its
+// kernel, model and probe sink. Service loops and servers still waiting
+// on their queues when the event queue drains are the normal end state
+// of a completed run. Probe recording is suppressed for the teardown so
+// unwinding defers cannot emit into the caller's sink.
+func teardown(k *sim.Kernel) {
 	if s := k.Probe(); s.Enabled() {
 		s.SetEnabled(false)
 		defer s.SetEnabled(true)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"howsim/internal/arch"
+	"howsim/internal/fault"
 	"howsim/internal/sim"
 	"howsim/internal/workload"
 )
@@ -96,6 +97,42 @@ func TestRunCtxCancelMidRunFreesWorkers(t *testing.T) {
 					mode, runtime.NumGoroutine(), base)
 			}
 			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
+// TestRunsReleaseParkedProcesses checks a completed run leaves no
+// goroutine behind: service loops and servers still parked on their
+// queues when the event queue drains are unwound with the kernel, on
+// every architecture, clean and faulted (a failed disk strands
+// processes mid-transfer), in both single-kernel modes and sharded.
+// Coroutine workers exit before RunCtx returns; a sharded run's leaf
+// goroutines finish exiting just after it, hence the short poll.
+func TestRunsReleaseParkedProcesses(t *testing.T) {
+	runs := []struct{ name, plan string }{{"clean", ""}, {"faulted", "seed=1,media=0.002,fail=2@20ms"}}
+	base := runtime.NumGoroutine()
+	for _, cfg := range []arch.Config{arch.ActiveDisks(4), arch.Cluster(4), arch.SMP(4)} {
+		for _, task := range []workload.TaskID{workload.Select, workload.Sort} {
+			for _, run := range runs {
+				for _, mode := range []sim.ExecMode{sim.ModeEvent, sim.ModeGoroutine, sim.ModeParallel} {
+					var plan *fault.Plan
+					if run.plan != "" {
+						plan = mustPlan(t, run.plan)
+					}
+					if _, err := RunCtx(context.Background(), cfg, task, scaled(task, 16<<20),
+						plan, nil, mode); err != nil {
+						t.Fatalf("%s/%v/%s/%v: %v", cfg.Name(), task, run.name, mode, err)
+					}
+					deadline := time.Now().Add(2 * time.Second)
+					for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+						time.Sleep(time.Millisecond)
+					}
+					if n := runtime.NumGoroutine(); n > base {
+						t.Errorf("%s/%v/%s/%v: %d goroutines after the run, want %d",
+							cfg.Name(), task, run.name, mode, n, base)
+					}
+				}
+			}
 		}
 	}
 }
