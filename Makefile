@@ -117,8 +117,7 @@ service-smoke:
 # Sharded-mode stress: repeat the two sharded equivalence tests
 # (TestExecModeSortContentionEquivalence, TestExecModeShardedTaskEquivalence)
 # N times, each under a per-run timeout, and print pass/diverge/hang
-# counts; exits nonzero on any non-passing run. SHARD_STRESS_N=500 for
-# a longer sweep.
-SHARD_STRESS_N ?= 200
+# counts; exits nonzero on any non-passing run. For a longer sweep run
+# the script directly: go run ./scripts/shardstress -n 500.
 shard-stress:
-	$(GO) run ./scripts/shardstress -n $(SHARD_STRESS_N)
+	$(GO) run ./scripts/shardstress

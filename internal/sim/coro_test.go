@@ -10,9 +10,19 @@ import (
 
 // TestProcPanicReraisesFromRun checks a panic in a process body
 // surfaces from Kernel.Run on the caller's goroutine with its original
-// value, both before the body's first park and mid-run.
+// value, both before the body's first park and mid-run, and that the
+// body's own stack — which the re-raised panic no longer carries — is
+// written to stderr.
 func TestProcPanicReraisesFromRun(t *testing.T) {
 	type boom struct{ at string }
+	stderr, err := os.CreateTemp(t.TempDir(), "stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stderr.Close()
+	saved := os.Stderr
+	os.Stderr = stderr
+	defer func() { os.Stderr = saved }()
 	for _, at := range []string{"start", "mid-run"} {
 		k := NewKernel()
 		k.Spawn("bystander", func(p *Proc) { p.Delay(Second) })
@@ -30,6 +40,13 @@ func TestProcPanicReraisesFromRun(t *testing.T) {
 		if got != (boom{at}) {
 			t.Fatalf("%s: Run recovered %v, want the body's panic value %v", at, got, boom{at})
 		}
+	}
+	out, err := os.ReadFile(stderr.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(out), "TestProcPanicReraisesFromRun.func"); n != 2 {
+		t.Fatalf("stderr names the panicking body in %d stacks, want 2:\n%s", n, out)
 	}
 }
 

@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"iter"
+	"os"
+	"runtime/debug"
 	"strings"
 
 	"howsim/internal/probe"
@@ -568,7 +570,9 @@ func (p *Proc) run(yield func(struct{}) bool) {
 // Kernel.Shutdown throws through parked bodies. A killed process counts
 // as finished; if it was parked on a blocking primitive its wait site
 // is cleared so the kernel's blocked count — and DeadlockReport — come
-// out clean.
+// out clean. Any other panic is re-raised; the coroutine hands only its
+// value to Kernel.Run, so the body's stack — the line that failed — is
+// written to stderr first.
 func (p *Proc) runBody() {
 	defer func() {
 		r := recover()
@@ -576,6 +580,7 @@ func (p *Proc) runBody() {
 			return
 		}
 		if _, ok := r.(procKilled); !ok {
+			fmt.Fprintf(os.Stderr, "sim: panic in process %q: %v\n%s", p.name, r, debug.Stack())
 			panic(r)
 		}
 		if p.waitOp != "" {

@@ -6,13 +6,13 @@
 // per-run timeout, classifies every run and prints the counts:
 //
 //	go run ./scripts/shardstress              # or: make shard-stress
-//	go run ./scripts/shardstress -n 500 -race -keep /tmp/stress
+//	go run ./scripts/shardstress -n 500
 //
 // A run passes, diverges (a mode's output differed from event mode),
 // hangs (the test binary's own -test.timeout fired, or the run had to be
-// killed) or fails some other way. With -keep, each non-passing run's
-// output — for a hang, the goroutine dump — is written to the directory.
-// The command exits 1 when any run did not pass.
+// killed) or fails some other way. Each non-passing run's output — for a
+// hang, the goroutine dump — is written to stderr. The command exits 1
+// when any run did not pass.
 package main
 
 import (
@@ -31,15 +31,13 @@ import (
 // tests are the repo-root sharded equivalence tests the command repeats.
 const tests = "^(TestExecModeSortContentionEquivalence|TestExecModeShardedTaskEquivalence)$"
 
+// timeout bounds one run; a passing run takes a few seconds.
+const timeout = 60 * time.Second
+
 func main() {
-	var (
-		n       = flag.Int("n", 200, "number of runs")
-		timeout = flag.Duration("timeout", 60*time.Second, "per-run timeout")
-		race    = flag.Bool("race", false, "build the test binary with the race detector")
-		keep    = flag.String("keep", "", "directory for the output of non-passing runs")
-	)
+	n := flag.Int("n", 200, "number of runs")
 	flag.Parse()
-	failed, err := stress(*n, *timeout, *race, *keep)
+	failed, err := stress(*n)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "shardstress:", err)
 		os.Exit(2)
@@ -51,41 +49,25 @@ func main() {
 
 // stress builds the test binary into a temporary directory, runs it n
 // times, prints the counts and reports whether any run did not pass.
-func stress(n int, timeout time.Duration, race bool, keep string) (bool, error) {
+func stress(n int) (bool, error) {
 	dir, err := os.MkdirTemp("", "shardstress")
 	if err != nil {
 		return false, err
 	}
 	defer os.RemoveAll(dir)
 	bin := filepath.Join(dir, "repro.test")
-	args := []string{"test", "-c", "-o", bin}
-	if race {
-		args = append(args, "-race")
-	}
-	build := exec.Command("go", append(args, ".")...)
+	build := exec.Command("go", "test", "-c", "-o", bin, ".")
 	build.Stdout, build.Stderr = os.Stderr, os.Stderr
 	if err := build.Run(); err != nil {
 		return false, fmt.Errorf("building the test binary: %v", err)
 	}
-	if keep != "" {
-		if err := os.MkdirAll(keep, 0o755); err != nil {
-			return false, err
-		}
-	}
 
 	counts := map[string]int{}
 	for i := 1; i <= n; i++ {
-		class, out := once(bin, timeout)
+		class, out := once(bin)
 		counts[class]++
-		if class == "pass" {
-			continue
-		}
-		fmt.Fprintf(os.Stderr, "run %d: %s\n", i, class)
-		if keep != "" {
-			name := filepath.Join(keep, fmt.Sprintf("run%04d.%s.txt", i, class))
-			if err := os.WriteFile(name, out, 0o644); err != nil {
-				return false, err
-			}
+		if class != "pass" {
+			fmt.Fprintf(os.Stderr, "run %d: %s\n%s\n", i, class, out)
 		}
 	}
 	fmt.Printf("shardstress: runs=%d pass=%d diverge=%d hang=%d other=%d\n",
@@ -96,7 +78,7 @@ func stress(n int, timeout time.Duration, race bool, keep string) (bool, error) 
 // once runs the test binary one time and classifies the outcome. The
 // binary's own -test.timeout fires first and dumps every goroutine; the
 // outer deadline is a backstop for a binary too wedged to do even that.
-func once(bin string, timeout time.Duration) (string, []byte) {
+func once(bin string) (string, []byte) {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout+30*time.Second)
 	defer cancel()
 	cmd := exec.CommandContext(ctx, bin, "-test.run="+tests, "-test.count=1",
