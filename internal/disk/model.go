@@ -34,7 +34,7 @@ type Request struct {
 	// request completed (successfully or not).
 	Retries int
 
-	done     *sim.Signal
+	done     sim.Signal
 	Queued   sim.Time // when the request entered the disk queue
 	Started  sim.Time // when the disk began servicing it
 	Finished sim.Time // when data was in the buffer (read) or on media (write)
@@ -160,6 +160,9 @@ type Disk struct {
 	retry  RetryPolicy
 	reqSeq int64
 	failed bool
+
+	// reqFree recycles the requests of finished Read and Write calls.
+	reqFree []*Request
 }
 
 // SchedulingPolicy selects how queued requests are ordered for service.
@@ -289,7 +292,7 @@ func (d *Disk) Submit(req *Request) *Request {
 	if end > d.geom.totalSectors {
 		panic(fmt.Sprintf("disk %s: request beyond capacity (%d > %d sectors)", d.name, end, d.geom.totalSectors))
 	}
-	req.done = sim.NewSignal()
+	req.done.Reset()
 	req.Queued = d.k.Now()
 	if d.pr.On() {
 		d.pr.Sample(probe.KindQueue, int64(d.QueueLen()))
@@ -312,17 +315,35 @@ func (d *Disk) Submit(req *Request) *Request {
 // ErrDiskFailed once the drive has died; fault-oblivious callers may
 // ignore it (the request always completes).
 func (d *Disk) Read(p *sim.Proc, offset, length int64) error {
-	req := d.Submit(&Request{Offset: offset, Length: length})
-	req.Wait(p)
-	return req.Err
+	return d.syncIO(p, false, offset, length)
 }
 
 // Write performs a synchronous write of length bytes at offset; the
 // error contract matches Read.
 func (d *Disk) Write(p *sim.Proc, offset, length int64) error {
-	req := d.Submit(&Request{Write: true, Offset: offset, Length: length})
-	req.Wait(p)
-	return req.Err
+	return d.syncIO(p, true, offset, length)
+}
+
+// syncIO submits one request and waits for it. Requests come from the
+// disk's free list: once Wait returns the request is finished and
+// nothing else refers to it, so it goes straight back, and steady-state
+// synchronous I/O allocates nothing. Every field a previous use set is
+// reset here; Submit resets the done signal.
+func (d *Disk) syncIO(p *sim.Proc, write bool, offset, length int64) error {
+	var req *Request
+	if n := len(d.reqFree); n > 0 {
+		req = d.reqFree[n-1]
+		d.reqFree = d.reqFree[:n-1]
+	} else {
+		req = &Request{}
+	}
+	req.Write, req.Offset, req.Length = write, offset, length
+	req.Err, req.Retries = nil, 0
+	req.Queued, req.Started, req.Finished = 0, 0, 0
+	d.Submit(req).Wait(p)
+	err := req.Err
+	d.reqFree = append(d.reqFree, req)
+	return err
 }
 
 // Capacity returns the disk's formatted capacity in bytes.

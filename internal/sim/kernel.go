@@ -15,32 +15,41 @@ import (
 // dispatching a callback-mode continuation. Events at equal times fire
 // in the order they were scheduled (seq breaks ties), which keeps the
 // simulation deterministic. Events are stored by value in the kernel's
-// queue — scheduling one never allocates.
+// queue — scheduling one never allocates — and are kept to 40 bytes,
+// since every heap sift and ring slot copies them.
 type event struct {
 	t   Time
 	seq uint64
-	// schedT is the virtual time at which the event was scheduled. Among
-	// events sharing a timestamp, seq order respects schedT order (an
+	fn  func()
+	tk  *Task
+	// key indexes the event's scheduling key in the kernel's key slab.
+	// Only kernels a ShardGroup made keep keys; elsewhere it stays zero.
+	key int32
+}
+
+// schedKey is an event's scheduling position among same-instant
+// events, which sharded execution needs and a single kernel does not.
+type schedKey struct {
+	// sched is the virtual time at which the event was scheduled. Among
+	// events sharing a timestamp, seq order respects sched order (an
 	// event scheduled at an earlier instant was necessarily enqueued
 	// first), which is what lets sharded execution reconstruct the
 	// single-kernel tie-break for requests arriving from different
-	// partitions: order by (t, schedT, shard).
-	schedT Time
-	// anc extends schedT up the scheduling chain: anc[0] is the schedT of
+	// partitions: order by (t, sched, shard).
+	sched Time
+	// anc extends sched up the scheduling chain: anc[0] is the sched of
 	// the event that scheduled this one, anc[1] its scheduler's, and so
-	// on. When two events tie on (t, schedT), their seq order is the
+	// on. When two events tie on (t, sched), their seq order is the
 	// execution order of their scheduler events at that instant — which
 	// recurses the same comparison one level up. A ShardGroup uses the
 	// vector to slot same-instant requests from different partitions into
-	// single-kernel order when one level of schedT cannot separate them
+	// single-kernel order when one level of sched cannot separate them
 	// (lockstep processes whose chains diverge deeper in their history).
 	anc lineage
-	fn  func()
-	tk  *Task
 }
 
 // lineage is a fixed window of ancestor scheduling instants, newest
-// first: lineage[0] is the schedT of an event's scheduler, lineage[1]
+// first: lineage[0] is the sched of an event's scheduler, lineage[1]
 // its scheduler's, and so on.
 type lineage [7]Time
 
@@ -59,7 +68,7 @@ type Kernel struct {
 	limited bool
 	// posT/posSched/posAnc, when posLimited, additionally bound Run by
 	// scheduling position: events at instant posT whose scheduling key
-	// (schedT, anc) sorts after (posSched, posAnc) stay queued. A
+	// (sched, anc) sorts after (posSched, posAnc) stay queued. A
 	// ShardGroup uses the bound on the hub to stop exactly where a
 	// cross-shard request slots into single-kernel order, and on a leaf
 	// to resume a rendezvoused caller exactly at the hub proxy's event
@@ -73,10 +82,15 @@ type Kernel struct {
 	// resumed (or attempting to park) while it is set panics with the
 	// kill sentinel instead of continuing its body.
 	dying bool
-	// curSched is the scheduling time of the event currently executing —
-	// the recursive half of the (t, schedT) tie-break key a ShardGroup
-	// uses to slot cross-partition requests into single-kernel order.
-	// curAnc is the executing event's ancestor-lineage vector (event.anc).
+	// keyed marks a kernel made by NewShardGroup: only such a kernel
+	// records each event's scheduling key, in the slab keys (slots
+	// recycled through keyFree). curSched/curAnc are the key of the
+	// event currently executing — the recursive half of the tie-break
+	// key a ShardGroup uses to slot cross-partition requests into
+	// single-kernel order. A single kernel never touches any of them.
+	keyed    bool
+	keys     []schedKey
+	keyFree  []int32
 	curSched Time
 	curAnc   lineage
 	mode     ExecMode
@@ -181,14 +195,34 @@ func (k *Kernel) DeadlockReport() string {
 // the min-heap. Both paths are allocation-free in steady state.
 func (k *Kernel) schedule(t Time, fn func(), tk *Task) {
 	k.seq++
-	e := event{t: t, seq: k.seq, schedT: k.now, fn: fn, tk: tk}
-	e.anc[0] = k.curSched
-	copy(e.anc[1:], k.curAnc[:len(e.anc)-1])
+	e := event{t: t, seq: k.seq, fn: fn, tk: tk}
+	if k.keyed {
+		e.key = k.newKey()
+	}
 	if t == k.now {
 		k.events.fast.push(e)
 	} else {
 		k.events.pushHeap(e)
 	}
+}
+
+// newKey fills a key-slab slot with the scheduling key of an event
+// scheduled now: this instant, then the executing event's key as the
+// lineage.
+func (k *Kernel) newKey() int32 {
+	var i int32
+	if n := len(k.keyFree); n > 0 {
+		i = k.keyFree[n-1]
+		k.keyFree = k.keyFree[:n-1]
+	} else {
+		i = int32(len(k.keys))
+		k.keys = append(k.keys, schedKey{})
+	}
+	key := &k.keys[i]
+	key.sched = k.now
+	key.anc[0] = k.curSched
+	copy(key.anc[1:], k.curAnc[:len(key.anc)-1])
+	return i
 }
 
 // At schedules fn to run in kernel context at absolute time t. Scheduling
@@ -226,8 +260,8 @@ func (k *Kernel) Run() Time {
 				break
 			}
 			if k.posLimited && t == k.posT {
-				e := k.events.peekEvent()
-				if schedKeyAfter(e.schedT, &e.anc, k.posSched, &k.posAnc) {
+				key := &k.keys[k.events.peekEvent().key]
+				if schedKeyAfter(key.sched, &key.anc, k.posSched, &k.posAnc) {
 					k.now = t
 					break
 				}
@@ -238,8 +272,11 @@ func (k *Kernel) Run() Time {
 			k.publish(e.t)
 		}
 		k.now = e.t
-		k.curSched = e.schedT
-		k.curAnc = e.anc
+		if k.keyed {
+			key := &k.keys[e.key]
+			k.curSched, k.curAnc = key.sched, key.anc
+			k.keyFree = append(k.keyFree, e.key)
+		}
 		k.sched.Count(probe.KindEvents, 1)
 		if e.fn != nil {
 			e.fn()
@@ -290,8 +327,11 @@ func schedKeyAfter(s Time, a *lineage, ps Time, pa *lineage) bool {
 // the request's instant scheduled after the request's issuing leaf
 // event would have carried a larger sequence number in a single
 // kernel), a leaf where a rendezvoused caller resumes (the hub proxy's
-// event position among the leaf's pending same-instant events).
+// event position among the leaf's pending same-instant events). It
+// panics on a kernel NewShardGroup did not make: such a kernel keeps no
+// scheduling keys to bound by.
 func (k *Kernel) RunUntilPos(limit, sched Time, anc lineage) Time {
+	k.mustBeKeyed("RunUntilPos")
 	k.limit, k.limited = limit, true
 	k.posT, k.posSched, k.posAnc, k.posLimited = limit, sched, anc, true
 	defer func() {
@@ -316,13 +356,25 @@ func (k *Kernel) NextEventTime() (Time, bool) {
 // is a lower bound on the key of anything the kernel will execute — or
 // send — at that instant. A ShardGroup publishes it so the hub can
 // order a parked leaf's remaining same-instant work against pending
-// cross-shard requests.
+// cross-shard requests. Like RunUntilPos it panics on a kernel
+// NewShardGroup did not make.
 func (k *Kernel) NextEventKey() (t, sched Time, anc lineage, ok bool) {
+	k.mustBeKeyed("NextEventKey")
 	if k.events.empty() {
 		return 0, 0, lineage{}, false
 	}
 	e := k.events.peekEvent()
-	return e.t, e.schedT, e.anc, true
+	key := &k.keys[e.key]
+	return e.t, key.sched, key.anc, true
+}
+
+// mustBeKeyed panics unless the kernel records scheduling keys: on any
+// other kernel every key would read as zero and quietly misorder
+// same-instant events.
+func (k *Kernel) mustBeKeyed(op string) {
+	if !k.keyed {
+		panic("sim: " + op + " needs scheduling keys, which only kernels made by NewShardGroup keep")
+	}
 }
 
 // AdvanceTo moves the clock forward to t without executing anything.

@@ -18,7 +18,18 @@ import (
 // process switches. This is the disk/bus model's dominant pattern
 // (seek timers, transfer completions).
 func BenchmarkKernelEventThroughput(b *testing.B) {
-	k := NewKernel()
+	benchEventThroughput(b, NewKernel())
+}
+
+// BenchmarkKernelEventThroughputSharded runs the same loop on a
+// ShardGroup hub kernel, which also records every event's scheduling
+// key: the per-event cost sharded execution pays and a single kernel
+// does not.
+func BenchmarkKernelEventThroughputSharded(b *testing.B) {
+	benchEventThroughput(b, NewShardGroup(1).Hub())
+}
+
+func benchEventThroughput(b *testing.B, k *Kernel) {
 	const timers = 256
 	remaining := b.N
 	fns := make([]func(), timers)
@@ -217,25 +228,7 @@ func BenchmarkKernelEventThroughputProbeOff(b *testing.B) {
 	sink := probe.NewSink()
 	sink.SetEnabled(false)
 	k.SetProbe(sink)
-	const timers = 256
-	remaining := b.N
-	fns := make([]func(), timers)
-	for i := range fns {
-		d := Time(i%97 + 1)
-		fns[i] = func() {
-			if remaining > 0 {
-				remaining--
-				k.After(d, fns[i%timers])
-			}
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i, fn := range fns {
-		k.After(Time(i+1), fn)
-	}
-	k.Run()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
+	benchEventThroughput(b, k)
 }
 
 // benchPipeTransfers drives back-to-back callback-mode pipe transfers —

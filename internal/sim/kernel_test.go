@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestTimeString(t *testing.T) {
@@ -117,6 +120,45 @@ func TestSchedulingInPastPanics(t *testing.T) {
 		k.At(0, func() {})
 	})
 	k.Run()
+}
+
+// TestEventLayout pins the event size: every heap sift and fast-lane
+// slot copies events by value, and the scheduling key that only sharded
+// execution reads lives in a side slab, not in the event.
+func TestEventLayout(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n > 40 {
+		t.Errorf("event is %d bytes, want <= 40", n)
+	}
+}
+
+// TestKeyAPIPanicsOnSingleKernel checks that the scheduling-key API
+// refuses a kernel that keeps no keys instead of reading zero keys and
+// quietly misordering same-instant events, while ShardGroup kernels
+// answer it.
+func TestKeyAPIPanicsOnSingleKernel(t *testing.T) {
+	expectPanic := func(op string, fn func()) {
+		t.Helper()
+		defer func() {
+			r := recover()
+			if msg := fmt.Sprint(r); r == nil || !strings.Contains(msg, op) || !strings.Contains(msg, "NewShardGroup") {
+				t.Errorf("%s on a single kernel: recovered %v, want a panic naming %s and NewShardGroup", op, r, op)
+			}
+		}()
+		fn()
+	}
+	k := NewKernel()
+	k.At(Second, func() {})
+	expectPanic("NextEventKey", func() { k.NextEventKey() })
+	expectPanic("RunUntilPos", func() { k.RunUntilPos(Second, 0, lineage{}) })
+
+	hub := NewShardGroup(1).Hub()
+	hub.At(Second, func() {})
+	if at, sched, _, ok := hub.NextEventKey(); !ok || at != Second || sched != 0 {
+		t.Errorf("hub NextEventKey = (%v, %v, ok=%v), want (%v, 0, true)", at, sched, ok, Second)
+	}
+	if now := hub.RunUntilPos(Second, 0, lineage{}); now != Second || hub.Snapshot().PendingEvents != 0 {
+		t.Errorf("hub RunUntilPos stopped at %v with %d events pending, want %v with none", now, hub.Snapshot().PendingEvents, Second)
+	}
 }
 
 func TestRunUntil(t *testing.T) {

@@ -38,8 +38,8 @@
 // Exactness. Byte-equivalence with the single-kernel event mode needs
 // more than conservative order — it needs the *same-instant* order. In
 // a single kernel, events at one instant fire in scheduling order (seq
-// respects schedT, ties recursing up the scheduling chain), so every
-// boundary here is a full scheduling key — (instant, scheduling time,
+// respects scheduling time, ties recursing up the scheduling chain), so
+// every boundary here is a full scheduling key — (instant, scheduling time,
 // ancestor lineage) — not just a time. Three rules provide the order.
 // First, a request is injected at its single-kernel queue position: the
 // hub runs its own events at the request's timestamp only up to the
@@ -98,7 +98,7 @@ type xcall struct {
 	// different shards into single-kernel sequence order (an event
 	// scheduled earlier carries a smaller sequence number).
 	sched Time
-	// anc is the issuing event's ancestor lineage (event.anc): the
+	// anc is the issuing event's ancestor lineage (schedKey.anc): the
 	// scheduling instants of the events up its scheduling chain,
 	// compared when sched alone cannot separate same-instant requests —
 	// in a single kernel the tie recurses to the execution order of the
@@ -536,13 +536,13 @@ func NewShardGroup(n int) *ShardGroup {
 	if n < 1 {
 		panic("sim: ShardGroup needs at least one shard")
 	}
-	g := &ShardGroup{hub: NewKernel()}
+	g := &ShardGroup{hub: newKeyedKernel()}
 	g.cond = sync.NewCond(&g.mu)
 	g.want.Store(horizonInfinity)
 	for i := 0; i < n; i++ {
 		sh := &Shard{
 			id:      int32(i),
-			k:       NewKernel(),
+			k:       newKeyedKernel(),
 			g:       g,
 			cmds:    make(chan leafCmd),
 			replies: make(chan leafStatus),
@@ -560,6 +560,14 @@ func NewShardGroup(n int) *ShardGroup {
 		g.shards = append(g.shards, sh)
 	}
 	return g
+}
+
+// newKeyedKernel returns a kernel that records every event's scheduling
+// key, which the group's position-bounded runs and key comparisons read.
+func newKeyedKernel() *Kernel {
+	k := NewKernel()
+	k.keyed = true
+	return k
 }
 
 // Hub returns the group's hub kernel.
