@@ -1,7 +1,8 @@
 // Package shardsafe enforces the hub/leaf kernel-affinity contract of
 // the sharded execution mode (internal/sim/shard.go, internal/diskos):
 // a partitioned simulation stays deterministic only if every
-// cross-partition effect goes through Shard.Call. Three rules:
+// cross-partition effect goes through ActiveDisk.Cross (Shard.Call on a
+// sharded system). Three rules:
 //
 // Rule A — hub-drive paths must not block. Methods of sim.ShardGroup
 // (Run, driveLeaves, respond, …) execute on the hub goroutine outside
@@ -13,20 +14,20 @@
 // function literals (proxy bodies spawned onto kernels are process
 // context again) and Kernel methods (they are the drive mechanism).
 //
-// Rule B — leaf disklet code must reach the hub only through
-// Shard.Call. Inside a function literal spawned on a leaf kernel
-// (`sh.Kernel().Spawn(name, func(p *sim.Proc) { … })`), methods that
+// Rule B — disklet code must reach the hub only through
+// ActiveDisk.Cross. Inside a function literal spawned on a disk's own
+// kernel (`ad.Spawn(name, func(p *sim.Proc) { … })`), methods that
 // touch hub-owned state — diskos.ActiveDisk's communication surface
 // (Send, SendToFrontEnd, Recv, Release, CloseInbox) and the kernel-less
 // sim coordination types (WaitGroup.Add/Done/Wait, Signal.Fire/Wait/
-// Reset, Barrier.Wait) — are flagged unless wrapped in a
-// `sh.Call(p, func(hp *sim.Proc) { … })` literal. Locally defined
-// closures called from leaf context are followed; named package
-// functions are not (they may be shared with single-kernel mode, where
-// direct access is legal).
+// Reset, Barrier.Wait) — are flagged unless they sit in a crossing
+// literal: one passed to `ad.Cross(p, …)` directly or through a local
+// variable (`send := func(hp *sim.Proc) { … }; ad.Cross(p, send)`).
+// Locally defined closures called from leaf context are followed;
+// named package functions are not.
 //
-// Rule C — Call literals run on the hub and must not touch leaf-owned
-// state: ActiveDisk.ReadLocal/WriteLocal/Compute inside a Call literal
+// Rule C — crossing literals run on the hub and must not touch
+// leaf-owned state: ActiveDisk.ReadLocal/WriteLocal/Compute inside one
 // are findings (the disk, on-drive CPU and scratch live on the leaf
 // kernel; driving them from a hub proxy corrupts the partition).
 //
@@ -50,8 +51,8 @@ var Analyzer = &analysis.Analyzer{
 	Name: "shardsafe",
 	Doc: "enforce the sharded-execution hub/leaf contract: no blocking *sim.Proc API in ShardGroup " +
 		"hub-drive paths, hub-owned objects (ActiveDisk comm surface, WaitGroup/Signal/Barrier) " +
-		"reached from leaf disklets only through Shard.Call, and no leaf-local ActiveDisk ops " +
-		"(ReadLocal/WriteLocal/Compute) inside Call literals",
+		"reached from ActiveDisk.Spawn disklets only through ActiveDisk.Cross, and no leaf-local " +
+		"ActiveDisk ops (ReadLocal/WriteLocal/Compute) inside Cross literals",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      run,
 }
@@ -186,10 +187,10 @@ func inspectSkippingLits(n ast.Node, f func(*ast.CallExpr)) {
 	})
 }
 
-// ---- Rules B and C: leaf spawn bodies and Call literals ----
+// ---- Rules B and C: disklet bodies and crossing literals ----
 
-// runLeafContext finds leaf-spawned literals and checks their bodies in
-// leaf context, descending into Call literals in hub context.
+// runLeafContext finds ActiveDisk.Spawn literals and checks their bodies
+// in leaf context, switching to hub context in crossing literals.
 func runLeafContext(pass *analysis.Pass, ins *inspector.Inspector, sup *allow.Suppressor) {
 	ins.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
 		fd := n.(*ast.FuncDecl)
@@ -198,16 +199,22 @@ func runLeafContext(pass *analysis.Pass, ins *inspector.Inspector, sup *allow.Su
 		}
 		// Local closures (`absorb := func(p *sim.Proc, …) { … }`) are
 		// followed when called from leaf context.
-		closures := localClosures(pass, fd.Body)
-		leafKernels := leafKernelVars(pass, fd.Body)
-
+		c := &leafChecker{pass: pass, sup: sup, closures: localClosures(pass, fd.Body),
+			crossLits: map[*ast.FuncLit]bool{}, leafSeen: map[*ast.FuncLit]bool{}, hubSeen: map[*ast.FuncLit]bool{}}
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if lit := c.crossLit(call); lit != nil {
+					c.crossLits[lit] = true
+				}
+			}
+			return true
+		})
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
 			}
-			if lit := leafSpawnLit(pass, call, leafKernels); lit != nil {
-				c := &leafChecker{pass: pass, sup: sup, closures: closures, visited: map[*ast.FuncLit]bool{}}
+			if lit := spawnLit(pass, call); lit != nil {
 				c.checkLeafBody(lit)
 				return false // the literal is fully handled
 			}
@@ -250,67 +257,10 @@ func localClosures(pass *analysis.Pass, body *ast.BlockStmt) map[types.Object]*a
 	return out
 }
 
-// leafKernelVars collects local variables assigned from a
-// `(*sim.Shard).Kernel()` call: `lk := sh.Kernel()`.
-func leafKernelVars(pass *analysis.Pass, body *ast.BlockStmt) map[types.Object]bool {
-	out := map[types.Object]bool{}
-	ast.Inspect(body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok {
-			return true
-		}
-		for i, lhs := range as.Lhs {
-			if i >= len(as.Rhs) {
-				break
-			}
-			id, ok := lhs.(*ast.Ident)
-			if !ok {
-				continue
-			}
-			if !isShardKernelCall(pass, as.Rhs[i]) {
-				continue
-			}
-			if obj := pass.TypesInfo.Defs[id]; obj != nil {
-				out[obj] = true
-			}
-		}
-		return true
-	})
-	return out
-}
-
-// isShardKernelCall reports whether e is `X.Kernel()` with X a
-// *sim.Shard.
-func isShardKernelCall(pass *analysis.Pass, e ast.Expr) bool {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Kernel" {
-		return false
-	}
-	return isSimType(pass.TypesInfo.TypeOf(sel.X), "Shard")
-}
-
-// leafSpawnLit returns the function literal passed to a Spawn on a leaf
-// kernel (`sh.Kernel().Spawn(…, lit)` or `lk.Spawn(…, lit)` with lk
-// assigned from Shard.Kernel()), if call is one.
-func leafSpawnLit(pass *analysis.Pass, call *ast.CallExpr, leafKernels map[types.Object]bool) *ast.FuncLit {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Spawn" {
-		return nil
-	}
-	leaf := false
-	switch x := ast.Unparen(sel.X).(type) {
-	case *ast.CallExpr:
-		leaf = isShardKernelCall(pass, x)
-	case *ast.Ident:
-		if obj := pass.TypesInfo.Uses[x]; obj != nil {
-			leaf = leafKernels[obj]
-		}
-	}
-	if !leaf {
+// spawnLit returns the disklet body passed to `ad.Spawn(name, lit)`
+// with ad a *diskos.ActiveDisk, if call is one.
+func spawnLit(pass *analysis.Pass, call *ast.CallExpr) *ast.FuncLit {
+	if !isActiveDiskCall(pass, call, "Spawn") {
 		return nil
 	}
 	for _, a := range call.Args {
@@ -321,31 +271,63 @@ func leafSpawnLit(pass *analysis.Pass, call *ast.CallExpr, leafKernels map[types
 	return nil
 }
 
+// isActiveDiskCall reports whether call is `ad.<method>(…)` with ad a
+// *diskos.ActiveDisk.
+func isActiveDiskCall(pass *analysis.Pass, call *ast.CallExpr, method string) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != method {
+		return false
+	}
+	name, pkg := recvTypeAndPkg(pass.TypesInfo.TypeOf(sel.X))
+	return name == "ActiveDisk" && pkg == "diskos"
+}
+
 type leafChecker struct {
-	pass     *analysis.Pass
-	sup      *allow.Suppressor
-	closures map[types.Object]*ast.FuncLit
-	visited  map[*ast.FuncLit]bool
+	pass      *analysis.Pass
+	sup       *allow.Suppressor
+	closures  map[types.Object]*ast.FuncLit
+	crossLits map[*ast.FuncLit]bool // literals some ad.Cross runs on the hub
+	leafSeen  map[*ast.FuncLit]bool
+	hubSeen   map[*ast.FuncLit]bool
+}
+
+// crossLit returns the literal an `ad.Cross(p, fn)` call runs on the
+// hub — fn itself, or the local closure fn names.
+func (c *leafChecker) crossLit(call *ast.CallExpr) *ast.FuncLit {
+	if !isActiveDiskCall(c.pass, call, "Cross") || len(call.Args) != 2 {
+		return nil
+	}
+	switch fn := ast.Unparen(call.Args[1]).(type) {
+	case *ast.FuncLit:
+		return fn
+	case *ast.Ident:
+		if obj := c.pass.TypesInfo.Uses[fn]; obj != nil {
+			return c.closures[obj]
+		}
+	}
+	return nil
 }
 
 // checkLeafBody walks a leaf-context literal: hub-owned methods are
-// findings unless inside a Shard.Call literal, which is checked in hub
+// findings unless inside a crossing literal, which is checked in hub
 // context instead.
 func (c *leafChecker) checkLeafBody(lit *ast.FuncLit) {
-	if c.visited[lit] {
+	if c.leafSeen[lit] {
 		return
 	}
-	c.visited[lit] = true
+	c.leafSeen[lit] = true
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
+		if inner, ok := n.(*ast.FuncLit); ok && c.crossLits[inner] {
+			c.checkHubLit(inner)
+			return false
+		}
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		// sh.Call(p, func(hp *sim.Proc) { … }): the literal runs on the
-		// hub — switch rules.
-		if hubLit := shardCallLit(c.pass, call); hubLit != nil {
+		// A crossing closure defined outside this body runs on the hub.
+		if hubLit := c.crossLit(call); hubLit != nil {
 			c.checkHubLit(hubLit)
-			return false
 		}
 		// Follow locally defined closures called from leaf context.
 		if id, ok := call.Fun.(*ast.Ident); ok {
@@ -357,16 +339,20 @@ func (c *leafChecker) checkLeafBody(lit *ast.FuncLit) {
 		}
 		if name, bad := c.hubOnlyCall(call); bad {
 			allow.Reportf(c.pass, c.sup, call.Pos(),
-				"%s touches hub-owned state from a leaf disklet; wrap it in a "+
-					"Shard.Call(p, func(hp *sim.Proc) { … }) rendezvous", name)
+				"%s touches hub-owned state from a leaf disklet; move it into an "+
+					"ActiveDisk.Cross(p, func(hp *sim.Proc) { … }) crossing", name)
 		}
 		return true
 	})
 }
 
-// checkHubLit walks a Call literal in hub context: leaf-owned
-// ActiveDisk operations are findings.
+// checkHubLit walks a crossing literal in hub context: leaf-owned
+// ActiveDisk operations are findings. Each literal is checked once.
 func (c *leafChecker) checkHubLit(lit *ast.FuncLit) {
+	if c.hubSeen[lit] {
+		return
+	}
+	c.hubSeen[lit] = true
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		if inner, ok := n.(*ast.FuncLit); ok && inner != lit {
 			return false // nested literals: context unknown, stop
@@ -377,29 +363,11 @@ func (c *leafChecker) checkHubLit(lit *ast.FuncLit) {
 		}
 		if name, bad := c.leafOnlyCall(call); bad {
 			allow.Reportf(c.pass, c.sup, call.Pos(),
-				"%s runs a leaf-owned operation from a Shard.Call literal, which executes on "+
+				"%s runs a leaf-owned operation from an ActiveDisk.Cross literal, which executes on "+
 					"the hub; only the leaf's own processes may drive its disk, CPU and scratch", name)
 		}
 		return true
 	})
-}
-
-// shardCallLit returns the literal passed to `X.Call(p, lit)` with X a
-// *sim.Shard.
-func shardCallLit(pass *analysis.Pass, call *ast.CallExpr) *ast.FuncLit {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Call" {
-		return nil
-	}
-	if !isSimType(pass.TypesInfo.TypeOf(sel.X), "Shard") {
-		return nil
-	}
-	for _, a := range call.Args {
-		if lit, ok := a.(*ast.FuncLit); ok {
-			return lit
-		}
-	}
-	return nil
 }
 
 // hubOnlyCall classifies a call in leaf context against the hub-owned

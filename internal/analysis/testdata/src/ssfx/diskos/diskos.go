@@ -10,6 +10,11 @@ type Chunk struct {
 
 type ActiveDisk struct{}
 
+// Placement: disklets spawn on the disk's own kernel and reach the hub
+// through Cross.
+func (ad *ActiveDisk) Spawn(name string, body func(*sim.Proc)) *sim.Proc { return nil }
+func (ad *ActiveDisk) Cross(p *sim.Proc, fn func(*sim.Proc))             {}
+
 // Leaf-owned: disk mechanics, on-drive CPU, scratch.
 func (ad *ActiveDisk) ReadLocal(p *sim.Proc, off, n int64)  {}
 func (ad *ActiveDisk) WriteLocal(p *sim.Proc, off, n int64) {}

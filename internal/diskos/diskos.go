@@ -113,6 +113,8 @@ type ActiveDisk struct {
 	Scratch *sim.Resource
 
 	sys     *System
+	k       *sim.Kernel   // owns Disk, CPU and Scratch: the hub, or the disk's shard kernel
+	shard   *sim.Shard    // nil on a single kernel
 	commBuf *sim.Resource // receive-side communication buffer credits
 	inbox   *sim.Mailbox
 	pr      probe.Ref
@@ -163,7 +165,7 @@ type System struct {
 
 // NewSystem builds an Active Disk system on k.
 func NewSystem(k *sim.Kernel, cfg Config) *System {
-	return build(cfg, k, func(int) *sim.Kernel { return k })
+	return build(cfg, k, nil)
 }
 
 // NewSystemSharded builds the same system partitioned across a
@@ -173,27 +175,22 @@ func NewSystem(k *sim.Kernel, cfg Config) *System {
 // scratch) live on shard i's kernel. g must have exactly cfg.Disks
 // shards.
 //
-// On a sharded system only the leaf-local operations (ReadLocal,
-// WriteLocal, Compute) may be called from disklet processes directly;
-// anything touching the loops, the front-end, or a stream endpoint
-// (Send, SendToFrontEnd, Recv, Release in particular) must run on a
-// hub process — disklets reach it through Shard.Call, modeling the
-// shared FC loop every inter-disk byte crosses. Components are
-// constructed in the single-kernel order (loops, front-end, then disks
-// ascending, with hub-side placeholders for leaf-registered probes) so
-// that merging the leaf probe sinks into the hub's reproduces
-// NewSystem's instance numbering.
+// Disklets follow the hub/leaf contract documented on ActiveDisk.Cross.
+// Components are constructed in the single-kernel order (loops,
+// front-end, then disks ascending, with hub-side placeholders for
+// leaf-registered probes) so that merging the leaf probe sinks into the
+// hub's reproduces NewSystem's instance numbering.
 func NewSystemSharded(g *sim.ShardGroup, cfg Config) *System {
 	if g.Shards() != cfg.Disks {
 		panic(fmt.Sprintf("diskos: %d shards for %d disks", g.Shards(), cfg.Disks))
 	}
-	return build(cfg, g.Hub(), func(i int) *sim.Kernel { return g.Shard(i).Kernel() })
+	return build(cfg, g.Hub(), g)
 }
 
 // build constructs the system with the shared interconnect and
-// front-end on hub and disk i's components on leaf(i) (the same kernel
-// in the single-kernel layout).
-func build(cfg Config, hub *sim.Kernel, leaf func(int) *sim.Kernel) *System {
+// front-end on hub and disk i's components on shard i of g, or on hub
+// too when g is nil (the single-kernel layout).
+func build(cfg Config, hub *sim.Kernel, g *sim.ShardGroup) *System {
 	if cfg.Disks <= 0 {
 		panic("diskos: need at least one disk")
 	}
@@ -237,9 +234,13 @@ func build(cfg Config, hub *sim.Kernel, leaf func(int) *sim.Kernel) *System {
 				spec = s
 			}
 		}
-		lk := leaf(i)
+		lk, sh := hub, (*sim.Shard)(nil)
+		if g != nil {
+			sh = g.Shard(i)
+			lk = sh.Kernel()
+		}
 		name := fmt.Sprintf("ad%d", i)
-		if lk != hub {
+		if sh != nil {
 			// The communication endpoints below register on the hub sink,
 			// but the media and embedded CPU register on the leaf's. Claim
 			// their hub slots first (empty, capacity adopted at merge) so
@@ -254,6 +255,8 @@ func build(cfg Config, hub *sim.Kernel, leaf func(int) *sim.Kernel) *System {
 			CPU:     cpu.New(lk, name+".cpu", cfg.EmbeddedHz),
 			Scratch: sim.NewResource(lk, name+".scratch", scratch),
 			sys:     s,
+			k:       lk,
+			shard:   sh,
 			commBuf: sim.NewResource(hub, name+".commbuf", commBuf),
 			inbox:   sim.NewMailbox(hub, name+".inbox", 0),
 			pr:      hub.Probe().Register("diskos", name),
@@ -379,6 +382,48 @@ func (s *System) CommBufBytes() int64 { return s.Cfg.commBufBytes() }
 
 // ChunkBytes returns the stream transfer granularity.
 func (s *System) ChunkBytes() int64 { return s.chunk }
+
+// Kernel returns the kernel the drive's media, embedded CPU and scratch
+// live on: the system's only kernel, or the disk's shard kernel when the
+// system is sharded.
+func (ad *ActiveDisk) Kernel() *sim.Kernel { return ad.k }
+
+// Spawn starts a disklet on the drive's own kernel. Its body may call
+// the leaf-local operations (ReadLocal, WriteLocal, Compute) directly
+// and must reach everything else through Cross.
+func (ad *ActiveDisk) Spawn(name string, body func(*sim.Proc)) *sim.Proc {
+	return ad.k.Spawn(name, body)
+}
+
+// Cross runs fn on the hub on behalf of the disklet p and returns when
+// fn does — the one placement seam between a disklet and the shared
+// system. On a single kernel it calls fn(p) inline and schedules
+// nothing. On a sharded system it is p's shard's Shard.Call: fn runs on
+// a hub proxy process at p's virtual instant, so the sharded run stays
+// byte-identical to the single-kernel one.
+//
+// The hub/leaf contract: the loops, the front-end and every disk's
+// stream endpoints (receive-buffer credits, inbox) live on the hub, and
+// so do the coordination primitives a task shares between disks
+// (WaitGroup, Signal, Barrier, shared counters). A disklet spawned with
+// Spawn touches them — Send, SendToFrontEnd, Recv, Release, barrier
+// waits, WaitGroup.Done, shared accumulators — only inside fn, using
+// fn's *sim.Proc. fn in turn must not call the leaf-local operations
+// (ReadLocal, WriteLocal, Compute). A task keeps its per-disklet
+// counters in proc-local variables and folds them into shared totals in
+// its last crossing, which adds no events.
+//
+// fn may read and write the caller's local variables: p stays parked
+// until fn returns. Disklets that cross once per chunk should build fn
+// once per process, so a single-kernel run allocates nothing per
+// crossing.
+func (ad *ActiveDisk) Cross(p *sim.Proc, fn func(*sim.Proc)) {
+	if ad.shard == nil {
+		fn(p)
+		return
+	}
+	ad.shard.Call(p, fn)
+}
 
 // ReadLocal reads length bytes at offset from the drive's own media —
 // the defining Active Disk operation: the data never crosses the loop.

@@ -236,3 +236,68 @@ func TestLoopSharedAcrossDisks(t *testing.T) {
 		t.Errorf("8x25 MB over the loop took %v, want ~%v", last, want)
 	}
 }
+
+// TestCrossInlineOnOneKernel pins the single-kernel side of the
+// placement seam: Cross runs fn on the calling disklet itself, at its
+// own instant, without scheduling anything — and a prebuilt fn crosses
+// without allocating.
+func TestCrossInlineOnOneKernel(t *testing.T) {
+	k := sim.NewKernel()
+	s := NewSystem(k, DefaultConfig(2))
+	ad := s.Disks[1]
+	if ad.Kernel() != k {
+		t.Fatal("single-kernel disk is not on the system kernel")
+	}
+	var ran int
+	var allocs float64
+	ad.Spawn("disklet", func(p *sim.Proc) {
+		p.Delay(3 * sim.Millisecond)
+		fn := func(hp *sim.Proc) {
+			ran++
+			if hp != p {
+				t.Errorf("Cross ran fn on %v, want the caller", hp)
+			}
+			if hp.Now() != 3*sim.Millisecond {
+				t.Errorf("Cross ran fn at %v, want 3ms", hp.Now())
+			}
+			if at, ok := k.NextEventTime(); ok {
+				t.Errorf("Cross scheduled an event at %v", at)
+			}
+		}
+		ad.Cross(p, fn)
+		allocs = testing.AllocsPerRun(100, func() { ad.Cross(p, fn) })
+	})
+	k.Run()
+	if ran != 102 {
+		t.Errorf("fn ran %d times, want 102", ran)
+	}
+	if allocs != 0 {
+		t.Errorf("Cross allocated %v times per call, want 0", allocs)
+	}
+}
+
+// TestCrossShardedRunsOnHub is the sharded side: the disk lives on its
+// shard's kernel, and Cross runs fn on a hub process at the caller's
+// virtual instant.
+func TestCrossShardedRunsOnHub(t *testing.T) {
+	g := sim.NewShardGroup(2)
+	defer g.Close()
+	s := NewSystemSharded(g, DefaultConfig(2))
+	ad := s.Disks[1]
+	if ad.Kernel() != g.Shard(1).Kernel() {
+		t.Fatal("sharded disk 1 is not on shard 1's kernel")
+	}
+	var onHub bool
+	var at sim.Time
+	ad.Spawn("disklet", func(p *sim.Proc) {
+		p.Delay(3 * sim.Millisecond)
+		ad.Cross(p, func(hp *sim.Proc) {
+			onHub = hp != p
+			at = hp.Now()
+		})
+	})
+	g.Run()
+	if !onHub || at != 3*sim.Millisecond {
+		t.Errorf("Cross ran fn on the hub = %v at %v, want true at 3ms", onHub, at)
+	}
+}

@@ -14,52 +14,109 @@ import (
 	"howsim/internal/workload"
 )
 
-// runActive executes one task on an Active Disk configuration.
+// shardable reports whether a run can execute on a ShardGroup: an
+// Active Disk configuration, a task whose disklets reach the hub only
+// through ActiveDisk.Cross, and no replica failover in the plan (failing
+// over reads a peer shard's disk directly). Mine and mview (front-end
+// broadcast reductions) and the spare rebuild that replica plans enable
+// still spawn their disklets on the hub kernel.
+func shardable(cfg arch.Config, task workload.TaskID, plan *fault.Plan) bool {
+	if cfg.Kind != arch.KindActiveDisk {
+		return false
+	}
+	if plan != nil && plan.Replica && plan.FailDisk >= 0 {
+		return false
+	}
+	switch task {
+	case workload.Select, workload.Aggregate, workload.GroupBy, workload.DataCube,
+		workload.Sort, workload.Join:
+		return true
+	}
+	return false
+}
+
+// runActive executes one task on an Active Disk configuration: on one
+// kernel in rc.mode, or partitioned across a ShardGroup (one leaf kernel
+// per disk) under ModeParallel when the run is shardable. Both layouts
+// run the same task bodies; ActiveDisk.Spawn and ActiveDisk.Cross place
+// their work.
 func runActive(cfg arch.Config, task workload.TaskID, ds workload.Dataset, res *Result,
 	plan *fault.Plan, sink *probe.Sink, rc *runCtl) {
+	var g *sim.ShardGroup
+	var s *diskos.System
+	var leafSinks []*probe.Sink
 	if rc.mode == sim.ModeParallel && shardable(cfg, task, plan) {
-		runActiveSharded(cfg, task, ds, res, plan, sink)
-		return
+		g = sim.NewShardGroup(cfg.Disks)
+		defer g.Close()
+		g.Hub().SetProbe(sink)
+		// Each kernel records into its own sink (sinks are single-threaded);
+		// the leaves' recordings are merged into the hub's after the run.
+		if sink != nil {
+			leafSinks = make([]*probe.Sink, cfg.Disks)
+			for i := range leafSinks {
+				ls := probe.NewSinkCap(sink.RingCap())
+				ls.SetEnabled(sink.Enabled())
+				leafSinks[i] = ls
+				g.Shard(i).Kernel().SetProbe(ls)
+			}
+		}
+		s = cfg.BuildActiveSharded(g)
+	} else {
+		k := sim.NewKernel()
+		k.SetExecMode(rc.mode)
+		defer teardown(k)
+		k.SetProbe(sink)
+		s = cfg.BuildActive(k)
 	}
-	k := sim.NewKernel()
-	k.SetExecMode(rc.mode)
-	defer teardown(k)
-	k.SetProbe(sink)
-	s := cfg.BuildActive(k)
+	k := s.K
 	s.InstallFaults(plan)
 	deg := &degrade{}
 	rb := &rebuildState{}
-	spawnRebuild(k, s, ds, plan, rb)
+	spawnRebuild(s, ds, plan, rb)
 	var done *sim.Signal
 	switch task {
 	case workload.Select:
-		done = activeScan(k, s, ds, res, SelectCycles,
+		done = activeScan(s, ds, SelectCycles,
 			func(n int64) int64 { return int64(float64(n) * ds.Selectivity) }, 0, plan, deg)
 	case workload.Aggregate:
-		done = activeScan(k, s, ds, res, AggregateCycles, func(int64) int64 { return 0 }, 512, plan, deg)
+		done = activeScan(s, ds, AggregateCycles, func(int64) int64 { return 0 }, 512, plan, deg)
 	case workload.GroupBy:
-		done = activeGroupBy(k, s, ds, res)
+		done = activeGroupBy(s, ds, res)
 	case workload.Sort:
-		done = activeSort(k, s, ds, res)
+		done = activeSort(s, ds, res)
 	case workload.DataCube:
-		done = activeCube(k, s, ds, res)
+		done = activeCube(s, ds, res)
 	case workload.Join:
-		done = activeJoin(k, s, ds, res)
+		done = activeJoin(s, ds, res)
 	case workload.DataMine:
-		done = activeMine(k, s, ds, res)
+		done = activeMine(s, ds, res)
 	case workload.MView:
-		done = activeMView(k, s, ds, res)
+		done = activeMView(s, ds, res)
 	default:
 		panic(fmt.Sprintf("tasks: unknown task %v", task))
 	}
-	res.Elapsed = rc.run(k)
-	if rc.cancelled {
-		return
-	}
-	completed := done.Fired()
-	if !completed && plan == nil {
-		panic(fmt.Sprintf("tasks: %v on %s deadlocked at %v (%d blocked)\n%s",
-			task, cfg.Name(), res.Elapsed, k.Blocked(), k.DeadlockReport()))
+	var deadlock string
+	if g != nil {
+		res.Elapsed = g.Run()
+		if !done.Fired() {
+			deadlock = g.DeadlockReport()
+			if plan == nil {
+				panic(fmt.Sprintf("tasks: %v on %s stalled at %v\n%s\n%s",
+					task, cfg.Name(), res.Elapsed, g.Stall(), deadlock))
+			}
+		}
+	} else {
+		res.Elapsed = rc.run(k)
+		if rc.cancelled {
+			return
+		}
+		if !done.Fired() {
+			deadlock = k.DeadlockReport()
+			if plan == nil {
+				panic(fmt.Sprintf("tasks: %v on %s deadlocked at %v (%d blocked)\n%s",
+					task, cfg.Name(), res.Elapsed, k.Blocked(), deadlock))
+			}
+		}
 	}
 	res.Details["loop_bytes"] = float64(s.LoopBytesMoved())
 	res.Details["loop_util"] = s.LoopUtilization()
@@ -81,11 +138,10 @@ func runActive(cfg arch.Config, task workload.TaskID, ds workload.Dataset, res *
 	}
 	res.Details["media_read_bytes"] = float64(mediaRead)
 	res.Details["media_write_bytes"] = float64(mediaWrite)
-	var deadlock string
-	if !completed {
-		deadlock = k.DeadlockReport()
+	faultEpilogue(res, plan, deg, done.Fired(), deadlock, disks, cpus, rb)
+	for _, ls := range leafSinks {
+		sink.Merge(ls)
 	}
-	faultEpilogue(res, plan, deg, completed, deadlock, disks, cpus, rb)
 	probeEpilogue(res, k)
 }
 
@@ -104,8 +160,9 @@ func replicaRegionOf(capEach int64) int64 { return alignSector(5 * capEach / 6) 
 // disk (when the plan declares replicas — that disklet then does double
 // duty) or abandons the remainder, which is reported as lost bytes. The
 // fault-free path issues exactly the same simulated events as before the
-// fault plumbing existed.
-func activeScan(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Result,
+// fault plumbing existed. Lost and replica bytes accumulate in
+// proc-local counters and fold into deg in the disklet's last crossing.
+func activeScan(s *diskos.System, ds workload.Dataset,
 	cycles int64, emit func(chunkBytes int64) int64, finalBytes int64,
 	plan *fault.Plan, deg *degrade) *sim.Signal {
 	d := len(s.Disks)
@@ -114,19 +171,21 @@ func activeScan(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 	replicaRegion := replicaRegionOf(s.Disks[0].Disk.Capacity())
 	done := sim.NewSignal()
 	wg := sim.NewWaitGroup(d)
-	// The recovery ref exists only under a plan so that fault-free traces
-	// stay byte-identical to runs built before the fault plumbing.
-	var skipRef probe.Ref
-	var skipKind probe.Kind
-	if plan != nil {
-		skipRef = k.Probe().Register("recovery", "scan")
-		skipKind = skipRef.KindNamed("degraded_skip")
-	}
-	for i := range s.Disks {
-		i := i
-		k.Spawn(fmt.Sprintf("scan%d", i), func(p *sim.Proc) {
-			src, base := s.Disks[i], int64(0)
-			var pend int64
+	for i, ad := range s.Disks {
+		// The recovery ref exists only under a plan so that fault-free
+		// traces stay byte-identical to runs built before the fault
+		// plumbing. It lives on the disk's own kernel's sink (sinks are
+		// single-threaded); on one kernel every disk shares it.
+		var skipRef probe.Ref
+		var skipKind probe.Kind
+		if plan != nil {
+			skipRef = ad.Kernel().Probe().Register("recovery", "scan")
+			skipKind = skipRef.KindNamed("degraded_skip")
+		}
+		ad.Spawn(fmt.Sprintf("scan%d", i), func(p *sim.Proc) {
+			src, base := ad, int64(0)
+			var pend, lost, replica int64
+			flush := func(hp *sim.Proc) { src.SendToFrontEnd(hp, pend, nil) }
 			for off := int64(0); off < per; {
 				n := int64(ioChunk)
 				if per-off < n {
@@ -140,7 +199,7 @@ func activeScan(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 						src, base = s.Disks[(i+1)%d], replicaRegion
 						continue
 					}
-					deg.lost += per - off
+					lost += per - off
 					if skipRef.On() {
 						skipRef.SpanArg(skipKind, int64(p.Now()), int64(p.Now()), per-off)
 					}
@@ -149,34 +208,40 @@ func activeScan(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 				if err != nil {
 					// Unrecoverable sector: this chunk is lost, the scan
 					// continues.
-					deg.lost += n
+					lost += n
 					if skipRef.On() {
 						skipRef.SpanArg(skipKind, int64(p.Now()), int64(p.Now()), n)
 					}
 				} else {
 					if base != 0 {
-						deg.replica += n
+						replica += n
 					}
 					t := tuplesIn(n, ds.TupleBytes)
 					src.Compute(p, t*cycles)
 					pend += emit(n)
 					if pend >= flushBatch {
-						src.SendToFrontEnd(p, pend, nil)
+						ad.Cross(p, flush)
 						pend = 0
 					}
 				}
 				off += n
 			}
-			if pend > 0 {
-				src.SendToFrontEnd(p, pend, nil)
-			}
-			if finalBytes > 0 {
-				src.SendToFrontEnd(p, finalBytes, nil)
-			}
-			wg.Done()
+			// The tail flushes, loss accounting and the completion mark are
+			// hub work at one instant: one crossing.
+			ad.Cross(p, func(hp *sim.Proc) {
+				if pend > 0 {
+					src.SendToFrontEnd(hp, pend, nil)
+				}
+				if finalBytes > 0 {
+					src.SendToFrontEnd(hp, finalBytes, nil)
+				}
+				deg.lost += lost
+				deg.replica += replica
+				wg.Done()
+			})
 		})
 	}
-	k.Spawn("coord", func(p *sim.Proc) {
+	s.K.Spawn("coord", func(p *sim.Proc) {
 		wg.Wait(p)
 		done.Fire()
 	})
@@ -185,9 +250,9 @@ func activeScan(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 
 // feMerger drains the front-end inbox, charging the front-end CPU a
 // merge cost per table entry, until the inbox closes.
-func feMerger(k *sim.Kernel, s *diskos.System, entryBytes, cyclesPerEntry int64) *sim.Signal {
+func feMerger(s *diskos.System, entryBytes, cyclesPerEntry int64) *sim.Signal {
 	sig := sim.NewSignal()
-	k.Spawn("fe.merge", func(p *sim.Proc) {
+	s.K.Spawn("fe.merge", func(p *sim.Proc) {
 		for {
 			v, ok := s.FE.Inbox().Get(p)
 			if !ok {
@@ -212,7 +277,7 @@ func feMerger(k *sim.Kernel, s *diskos.System, entryBytes, cyclesPerEntry int64)
 // surfaces in several disks' partials), which is why group-by becomes
 // dominated by the transfer to the front-end at 64+ disks and extra
 // disk memory does not help (the paper's Figure 4 discussion).
-func activeGroupBy(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Result) *sim.Signal {
+func activeGroupBy(s *diskos.System, ds workload.Dataset, res *Result) *sim.Signal {
 	d := len(s.Disks)
 	per := perNodeBytes(ds.TotalBytes, d)
 	result := ds.DistinctGroups * GroupResultTupleBytes
@@ -222,28 +287,30 @@ func activeGroupBy(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Re
 
 	done := sim.NewSignal()
 	wg := sim.NewWaitGroup(d)
-	merged := feMerger(k, s, GroupResultTupleBytes, GroupMergeCycles)
-	for i := range s.Disks {
-		ad := s.Disks[i]
-		k.Spawn(fmt.Sprintf("gby%d", i), func(p *sim.Proc) {
+	merged := feMerger(s, GroupResultTupleBytes, GroupMergeCycles)
+	for i, ad := range s.Disks {
+		ad.Spawn(fmt.Sprintf("gby%d", i), func(p *sim.Proc) {
 			var pend float64
+			flush := func(hp *sim.Proc) { ad.SendToFrontEnd(hp, int64(pend), nil) }
 			chunksOf(per, func(off, n int64) {
 				ad.ReadLocal(p, off, n)
 				t := tuplesIn(n, ds.TupleBytes)
 				ad.Compute(p, t*GroupByCycles)
 				pend += float64(n) * ratio
 				if pend >= flushBatch {
-					ad.SendToFrontEnd(p, int64(pend), nil)
+					ad.Cross(p, flush)
 					pend = 0
 				}
 			})
-			if pend >= 1 {
-				ad.SendToFrontEnd(p, int64(pend), nil)
-			}
-			wg.Done()
+			ad.Cross(p, func(hp *sim.Proc) {
+				if pend >= 1 {
+					ad.SendToFrontEnd(hp, int64(pend), nil)
+				}
+				wg.Done()
+			})
 		})
 	}
-	k.Spawn("coord", func(p *sim.Proc) {
+	s.K.Spawn("coord", func(p *sim.Proc) {
 		wg.Wait(p)
 		s.FE.Inbox().Close()
 		merged.Wait(p)
@@ -256,8 +323,11 @@ func activeGroupBy(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Re
 // tuple to its destination disk (partitioner disklet), accumulates
 // arriving tuples into runs (sorter disklet), sorts and writes each run;
 // phase 2 merges the runs and writes the sorted output. The breakdown
-// buckets match Figure 3's legend.
-func activeSort(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Result) *sim.Signal {
+// buckets match Figure 3's legend. Every stream operation, the phase
+// barrier and the completion marks are crossings; the CPU counters
+// accumulate per disk and fold into the shared totals in each disklet's
+// last crossing.
+func activeSort(s *diskos.System, ds workload.Dataset, res *Result) *sim.Signal {
 	d := len(s.Disks)
 	per := perNodeBytes(ds.TotalBytes, d)
 	capEach := s.Disks[0].Disk.Capacity()
@@ -276,17 +346,19 @@ func activeSort(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 	res.Details["run_bytes"] = float64(runBytes)
 
 	hz := s.Disks[0].CPU.Hz()
-	var cPart, cAppend, cSort, cMerge int64
+	var cPart, cAppend, cSort, cMerge int64 // hub-side totals
 	var p1End sim.Time
 
 	type runState struct {
 		fill     int64
 		runSizes []int64
 		mu       *sim.Mutex // partitioner and sorter disklets share the run buffer
+		cAppend  int64      // per-disk until the sorter's last crossing
+		cSort    int64
 	}
 	states := make([]*runState, d)
-	for i := range states {
-		states[i] = &runState{mu: sim.NewMutex(k, fmt.Sprintf("run%d", i))}
+	for i, ad := range s.Disks {
+		states[i] = &runState{mu: sim.NewMutex(ad.Kernel(), fmt.Sprintf("run%d", i))}
 	}
 
 	// absorb accumulates arriving bytes into the current run, sorting
@@ -300,12 +372,12 @@ func activeSort(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 		defer st.mu.Unlock()
 		t := tuplesIn(bytes, ds.TupleBytes)
 		ad.Compute(p, t*AppendCycles)
-		cAppend += t * AppendCycles
+		st.cAppend += t * AppendCycles
 		st.fill += bytes
 		for st.fill >= runBytes {
 			rt := tuplesIn(runBytes, ds.TupleBytes)
 			ad.Compute(p, rt*RunSortCycles)
-			cSort += rt * RunSortCycles
+			st.cSort += rt * RunSortCycles
 			var written int64
 			for _, r := range st.runSizes {
 				written += r
@@ -316,14 +388,12 @@ func activeSort(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 		}
 	}
 
-	barrier := sim.NewBarrier(k, "sort.p1", d)
+	barrier := sim.NewBarrier(s.K, "sort.p1", d)
 	readers := sim.NewWaitGroup(d)
 	sorters := sim.NewWaitGroup(d)
 	done := sim.NewSignal()
 
-	for i := range s.Disks {
-		i := i
-		ad := s.Disks[i]
+	for i, ad := range s.Disks {
 		peers := make([]int, 0, d-1)
 		for j := 0; j < d; j++ {
 			if j != i {
@@ -332,37 +402,51 @@ func activeSort(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 		}
 		// Partitioner disklet: scan local input, keep the local share,
 		// stream the rest to peer disks in rotating batches.
-		k.Spawn(fmt.Sprintf("part%d", i), func(p *sim.Proc) {
+		ad.Spawn(fmt.Sprintf("part%d", i), func(p *sim.Proc) {
+			var local, remote int64
 			rot := 0
+			send := func(hp *sim.Proc) { ad.Send(hp, peers[rot], remote, nil) }
 			chunksOf(per, func(off, n int64) {
 				ad.ReadLocal(p, off, n)
 				t := tuplesIn(n, ds.TupleBytes)
 				ad.Compute(p, t*PartitionCycles)
-				cPart += t * PartitionCycles
-				remote := n * int64(d-1) / int64(d)
+				local += t * PartitionCycles
+				remote = n * int64(d-1) / int64(d)
 				if remote > 0 && len(peers) > 0 {
-					ad.Send(p, peers[rot], remote, nil)
+					ad.Cross(p, send)
 					rot = (rot + 1) % len(peers)
 				}
 				absorb(p, i, n-remote)
 			})
-			readers.Done()
+			ad.Cross(p, func(*sim.Proc) {
+				cPart += local
+				readers.Done()
+			})
 		})
 		// Sorter disklet: absorb arriving tuples into runs, then merge.
-		k.Spawn(fmt.Sprintf("sort%d", i), func(p *sim.Proc) {
+		// The previous chunk's credit release rides the next Recv
+		// crossing: the two are adjacent same-instant hub touches.
+		ad.Spawn(fmt.Sprintf("sort%d", i), func(p *sim.Proc) {
+			var c diskos.Chunk
+			var ok bool
+			recv := func(hp *sim.Proc) {
+				if c.Bytes > 0 {
+					ad.Release(c.Bytes)
+				}
+				c, ok = ad.Recv(hp)
+			}
 			for {
-				c, ok := ad.Recv(p)
+				ad.Cross(p, recv)
 				if !ok {
 					break
 				}
 				absorb(p, i, c.Bytes)
-				ad.Release(c.Bytes)
 			}
 			st := states[i]
 			if st.fill > 0 {
 				t := tuplesIn(st.fill, ds.TupleBytes)
 				ad.Compute(p, t*RunSortCycles)
-				cSort += t * RunSortCycles
+				st.cSort += t * RunSortCycles
 				var written int64
 				for _, r := range st.runSizes {
 					written += r
@@ -372,22 +456,30 @@ func activeSort(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 				st.runSizes = append(st.runSizes, sz)
 				st.fill = 0
 			}
-			barrier.Wait(p)
-			if i == 0 {
-				p1End = p.Now()
-			}
-			activeMerge(p, ad, st.runSizes, runRegion, outRegion, ds.TupleBytes, &cMerge)
-			sorters.Done()
+			ad.Cross(p, func(hp *sim.Proc) {
+				barrier.Wait(hp)
+				if i == 0 {
+					p1End = hp.Now()
+				}
+			})
+			var merge int64
+			activeMerge(p, ad, st.runSizes, runRegion, outRegion, ds.TupleBytes, &merge)
+			ad.Cross(p, func(*sim.Proc) {
+				cAppend += st.cAppend
+				cSort += st.cSort
+				cMerge += merge
+				sorters.Done()
+			})
 		})
 	}
 	// Close inboxes once every partitioner has finished sending.
-	k.Spawn("closer", func(p *sim.Proc) {
+	s.K.Spawn("closer", func(p *sim.Proc) {
 		readers.Wait(p)
 		for _, ad := range s.Disks {
 			ad.CloseInbox()
 		}
 	})
-	k.Spawn("coord", func(p *sim.Proc) {
+	s.K.Spawn("coord", func(p *sim.Proc) {
 		sorters.Wait(p)
 		// Attribute CPU buckets (average per disk) and idle remainders,
 		// matching Figure 3's legend.
@@ -468,7 +560,7 @@ func activeMerge(p *sim.Proc, ad *diskos.ActiveDisk, runSizes []int64,
 // partial hash tables to the front-end if the largest group-by's share
 // does not fit), later passes scan the smaller intermediate results, and
 // the finished group-by tables are written locally.
-func activeCube(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Result) *sim.Signal {
+func activeCube(s *diskos.System, ds workload.Dataset, res *Result) *sim.Signal {
 	d := len(s.Disks)
 	per := perNodeBytes(ds.TotalBytes, d)
 	shape := relational.PaperCubeShape()
@@ -498,14 +590,14 @@ func activeCube(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 	wg := sim.NewWaitGroup(d)
 	var merged *sim.Signal
 	if plan.SpillBytes > 0 {
-		merged = feMerger(k, s, 32, GroupMergeCycles)
+		merged = feMerger(s, 32, GroupMergeCycles)
 	}
-	for i := range s.Disks {
-		ad := s.Disks[i]
-		k.Spawn(fmt.Sprintf("cube%d", i), func(p *sim.Proc) {
+	for i, ad := range s.Disks {
+		ad.Spawn(fmt.Sprintf("cube%d", i), func(p *sim.Proc) {
 			spillShare := plan.SpillBytes / int64(d)
 			spillRatio := float64(spillShare) / float64(per)
 			var pend float64
+			flush := func(hp *sim.Proc) { ad.SendToFrontEnd(hp, int64(pend), nil) }
 			// Pass 1 over the raw partition, writing the intermediate.
 			var interWritten int64
 			chunksOf(per, func(off, n int64) {
@@ -515,7 +607,7 @@ func activeCube(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 				if spillShare > 0 {
 					pend += float64(n) * spillRatio
 					if pend >= flushBatch {
-						ad.SendToFrontEnd(p, int64(pend), nil)
+						ad.Cross(p, flush)
 						pend = 0
 					}
 				}
@@ -529,7 +621,7 @@ func activeCube(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 				}
 			})
 			if pend >= 1 {
-				ad.SendToFrontEnd(p, int64(pend), nil)
+				ad.Cross(p, flush)
 			}
 			// Remaining passes over the intermediate results.
 			for pass := 1; pass < plan.Passes; pass++ {
@@ -543,10 +635,10 @@ func activeCube(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 			chunksOf(tablesPer, func(off, n int64) {
 				ad.WriteLocal(p, tableRegion+off, n)
 			})
-			wg.Done()
+			ad.Cross(p, func(*sim.Proc) { wg.Done() })
 		})
 	}
-	k.Spawn("coord", func(p *sim.Proc) {
+	s.K.Spawn("coord", func(p *sim.Proc) {
 		wg.Wait(p)
 		s.FE.Inbox().Close()
 		if merged != nil {
@@ -560,8 +652,10 @@ func activeCube(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 // activeJoin is the Grace-style project-join: both relations are
 // scanned, projected to 32-byte tuples and hash-repartitioned across the
 // disks; each disk then joins its partitions locally (build + probe per
-// Grace partition) and writes the output.
-func activeJoin(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Result) *sim.Signal {
+// Grace partition) and writes the output. The shuffle streams and the
+// phase barriers are crossings; the local join touches the hub again
+// only for the completion mark.
+func activeJoin(s *diskos.System, ds workload.Dataset, res *Result) *sim.Signal {
 	d := len(s.Disks)
 	rBytes := ds.TotalBytes / 2
 	sBytes := ds.TotalBytes - rBytes
@@ -578,34 +672,13 @@ func activeJoin(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 
 	done := sim.NewSignal()
 	var phase [2]*sim.Barrier
-	phase[0] = sim.NewBarrier(k, "join.p1", d)
-	phase[1] = sim.NewBarrier(k, "join.p2", d)
+	phase[0] = sim.NewBarrier(s.K, "join.p1", d)
+	phase[1] = sim.NewBarrier(s.K, "join.p2", d)
 	readersR := sim.NewWaitGroup(d)
 	readersS := sim.NewWaitGroup(d)
 	workers := sim.NewWaitGroup(d)
 
-	// shuffle scans a local relation partition, projects it, streams the
-	// remote share to peers and returns the locally retained projected
-	// bytes (which the receiver disklet also accounts for peers).
-	shuffle := func(p *sim.Proc, i int, per int64, peers []int) {
-		ad := s.Disks[i]
-		rot := 0
-		chunksOf(per, func(off, n int64) {
-			ad.ReadLocal(p, off, n)
-			t := tuplesIn(n, ds.TupleBytes)
-			ad.Compute(p, t*ProjectCycles)
-			proj := int64(float64(n) * projFrac)
-			remote := proj * int64(d-1) / int64(d)
-			if remote > 0 && len(peers) > 0 {
-				ad.Send(p, peers[rot], remote, nil)
-				rot = (rot + 1) % len(peers)
-			}
-		})
-	}
-
-	for i := range s.Disks {
-		i := i
-		ad := s.Disks[i]
+	for i, ad := range s.Disks {
 		peers := make([]int, 0, d-1)
 		for j := 0; j < d; j++ {
 			if j != i {
@@ -613,21 +686,46 @@ func activeJoin(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 			}
 		}
 		// Scanner disklet: project+shuffle R, barrier, then S.
-		k.Spawn(fmt.Sprintf("jscan%d", i), func(p *sim.Proc) {
-			shuffle(p, i, perR, peers)
-			readersR.Done()
-			phase[0].Wait(p)
-			if i == 0 {
-				res.Details["p1_seconds"] = p.Now().Seconds()
+		ad.Spawn(fmt.Sprintf("jscan%d", i), func(p *sim.Proc) {
+			var rot int
+			var remote int64
+			send := func(hp *sim.Proc) { ad.Send(hp, peers[rot], remote, nil) }
+			// shuffle scans a local relation partition, projects it and
+			// streams the remote share to peers.
+			shuffle := func(per int64) {
+				rot = 0
+				chunksOf(per, func(off, n int64) {
+					ad.ReadLocal(p, off, n)
+					t := tuplesIn(n, ds.TupleBytes)
+					ad.Compute(p, t*ProjectCycles)
+					proj := int64(float64(n) * projFrac)
+					remote = proj * int64(d-1) / int64(d)
+					if remote > 0 && len(peers) > 0 {
+						ad.Cross(p, send)
+						rot = (rot + 1) % len(peers)
+					}
+				})
 			}
-			shuffle(p, i, perS, peers)
-			readersS.Done()
+			shuffle(perR)
+			ad.Cross(p, func(hp *sim.Proc) {
+				readersR.Done()
+				phase[0].Wait(hp)
+				if i == 0 {
+					res.Details["p1_seconds"] = hp.Now().Seconds()
+				}
+			})
+			shuffle(perS)
+			ad.Cross(p, func(*sim.Proc) { readersS.Done() })
 		})
 		// Writer disklet: receive projected tuples (both relations,
 		// locally retained share accounted analytically), write the
 		// partition files, then build+probe each Grace partition.
-		k.Spawn(fmt.Sprintf("jwork%d", i), func(p *sim.Proc) {
+		ad.Spawn(fmt.Sprintf("jwork%d", i), func(p *sim.Proc) {
 			var pend, written int64
+			var c diskos.Chunk
+			var ok bool
+			recv := func(hp *sim.Proc) { c, ok = ad.Recv(hp) }
+			release := func(*sim.Proc) { ad.Release(c.Bytes) }
 			flush := func(final bool) {
 				if pend >= flushBatch || (final && pend > 0) {
 					w := alignSector(pend)
@@ -637,24 +735,28 @@ func activeJoin(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 				}
 			}
 			for {
-				c, ok := ad.Recv(p)
+				ad.Cross(p, recv)
 				if !ok {
 					break
 				}
 				t := tuplesIn(c.Bytes, ds.ProjectedTupleBytes)
 				ad.Compute(p, t*AppendCycles/4)
 				pend += c.Bytes
-				ad.Release(c.Bytes)
+				// The credit release is its own crossing: it falls after the
+				// append compute but before the (possible) partition write.
+				ad.Cross(p, release)
 				flush(false)
 			}
 			// Locally retained projected share of both relations.
 			local := (projR + projS) / int64(d)
 			pend += local
 			flush(true)
-			phase[1].Wait(p)
-			if i == 0 {
-				res.Details["p2_seconds"] = p.Now().Seconds() - res.Details["p1_seconds"]
-			}
+			ad.Cross(p, func(hp *sim.Proc) {
+				phase[1].Wait(hp)
+				if i == 0 {
+					res.Details["p2_seconds"] = hp.Now().Seconds() - res.Details["p1_seconds"]
+				}
+			})
 
 			// Local Grace join over the received partitions.
 			totalPart := written
@@ -676,17 +778,17 @@ func activeJoin(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 					outOff += alignSector(out)
 				}
 			})
-			workers.Done()
+			ad.Cross(p, func(*sim.Proc) { workers.Done() })
 		})
 	}
-	k.Spawn("closer", func(p *sim.Proc) {
+	s.K.Spawn("closer", func(p *sim.Proc) {
 		readersR.Wait(p)
 		readersS.Wait(p)
 		for _, ad := range s.Disks {
 			ad.CloseInbox()
 		}
 	})
-	k.Spawn("coord", func(p *sim.Proc) {
+	s.K.Spawn("coord", func(p *sim.Proc) {
 		workers.Wait(p)
 		done.Fire()
 	})
@@ -698,7 +800,8 @@ func activeJoin(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 // front-end after every pass (each disk forwards its 5.4 MB of
 // candidate counters; the front-end merges them and broadcasts the next
 // level's candidates back).
-func activeMine(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Result) *sim.Signal {
+func activeMine(s *diskos.System, ds workload.Dataset, res *Result) *sim.Signal {
+	k := s.K
 	d := len(s.Disks)
 	per := perNodeBytes(ds.TotalBytes, d)
 	counters := int64(MineCounterBytes)
@@ -790,7 +893,8 @@ func activeMine(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 // updates are repartitioned again to the disks owning the view
 // partitions, and the derived relations are read, updated and written
 // back.
-func activeMView(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Result) *sim.Signal {
+func activeMView(s *diskos.System, ds workload.Dataset, res *Result) *sim.Signal {
+	k := s.K
 	d := len(s.Disks)
 	base := perNodeBytes(baseBytes(ds), d)
 	deltas := perNodeBytes(ds.DeltaBytes, d)

@@ -34,13 +34,13 @@ type rebuildState struct {
 // foreground scan slow each other down exactly as a live array would.
 // A rebuild-rate plan key caps the stream at that many MB/s, trading a
 // longer rebuild window for lighter foreground interference.
-func spawnRebuild(k *sim.Kernel, s *diskos.System, ds workload.Dataset,
-	plan *fault.Plan, rb *rebuildState) {
+func spawnRebuild(s *diskos.System, ds workload.Dataset, plan *fault.Plan, rb *rebuildState) {
 	d := len(s.Disks)
 	if plan == nil || !plan.Spare || !plan.Replica || s.Spare == nil ||
 		plan.FailDisk < 0 || plan.FailDisk >= d || d < 2 {
 		return
 	}
+	k := s.K
 	pr := k.Probe().Register("recovery", "rebuild")
 	readKind := pr.KindNamed("rebuild_read")
 	writeKind := pr.KindNamed("rebuild_write")

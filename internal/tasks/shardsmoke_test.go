@@ -20,20 +20,20 @@ func setMode(t *testing.T, mode sim.ExecMode) {
 }
 
 // TestShardedTasksMatchEvent is the in-package sharded smoke: every
-// shardable task runs under ModeParallel and must reproduce the
+// task shardable claims runs under ModeParallel and must reproduce the
 // single-kernel event run's elapsed time and details exactly. The CI
 // race job runs ./internal/... with -race, so this also exercises the
 // cross-shard rendezvous under the race detector (the root-package
 // equivalence tests, which additionally diff probe output, are not in
 // that job's package set).
 func TestShardedTasksMatchEvent(t *testing.T) {
-	for _, task := range []workload.TaskID{
-		workload.Select, workload.Aggregate, workload.GroupBy, workload.DataCube,
-	} {
-		task := task
+	cfg := arch.ActiveDisks(8)
+	for _, task := range workload.AllTasks() {
+		if !shardable(cfg, task, nil) {
+			continue
+		}
 		t.Run(task.String(), func(t *testing.T) {
 			ds := scaled(task, 48<<20)
-			cfg := arch.ActiveDisks(8)
 			setMode(t, sim.ModeEvent)
 			want := RunDataset(cfg, task, ds)
 			setMode(t, sim.ModeParallel)
@@ -79,9 +79,9 @@ func TestShardedProbeMerge(t *testing.T) {
 // faulted runs complete under ModeParallel via the single-kernel path.
 func TestShardedFallbacks(t *testing.T) {
 	setMode(t, sim.ModeParallel)
-	res := RunDataset(arch.ActiveDisks(4), workload.Sort, scaled(workload.Sort, 48<<20))
+	res := RunDataset(arch.ActiveDisks(4), workload.DataMine, scaled(workload.DataMine, 48<<20))
 	if res.Elapsed <= 0 {
-		t.Fatalf("sort under ModeParallel: elapsed = %v", res.Elapsed)
+		t.Fatalf("dmine under ModeParallel: elapsed = %v", res.Elapsed)
 	}
 	res = RunDataset(arch.Cluster(4), workload.Select, scaled(workload.Select, 48<<20))
 	if res.Elapsed <= 0 {
